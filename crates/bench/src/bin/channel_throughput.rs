@@ -12,38 +12,35 @@
 //! kernel build statistics (tables built vs interned, pool bytes, the
 //! culled/parked/mover split) for every fleet scaling point. `--check`
 //! asserts the ROADMAP performance floors on the freshly measured
-//! numbers (indoor staged ≥ 5×, outdoor incremental ≥ 3×, the
-//! footprint-kernel floors, and the fleet sublinearity floor: the
+//! numbers (indoor staged/full ≥ 5×, the footprint-kernel floors
+//! `ceiling_office` kernel/staged ≥ 2.5× and outdoor kernel/staged
+//! ≥ 3.6×, and the fleet sublinearity floor: the
 //! 1000-object per-tick cost within 3× of the 100-object cost) and
 //! exits non-zero on any violation, so CI fails on a perf regression
 //! instead of letting the ledger erode silently. A violation seen on a
 //! single-rep smoke measurement is re-measured at the full rep count
 //! before failing: floor ratios wobble ~10 % on a noisy runner, and
 //! only a regression that survives the confirmation run is real.
+//! An unknown flag or a count that is not a positive integer prints the
+//! usage and exits 2.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let rest: Vec<&String> = args
-        .iter()
-        .filter(|a| !matches!(a.as_str(), "--smoke" | "--check" | "--verbose"))
-        .collect();
-    let path = rest.first().map(|s| s.as_str());
-    let reps: u64 = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(if smoke { 1 } else { 5 });
+    let args = palc_bench::parse_args(
+        "usage: channel_throughput [--smoke] [--check] [--verbose] [out.json [reps]]",
+    );
+    let (smoke, check, verbose) = (args.smoke, args.check, args.verbose);
+    let path = args.out.as_deref();
+    let reps = args.count.unwrap_or(if smoke { 1 } else { 5 });
 
     let results = palc_bench::throughput::channel_throughput(reps);
     for r in &results {
         println!(
-            "{:<18} kernel {:>10.0}/s | incr {:>10.0}/s | staged {:>10.0}/s | full {:>10.0}/s | staged/full {:>5.2}x | incr/staged {:>5.2}x | kernel/staged {:>5.2}x | array×{} {:>10.0}/s | run_batch {:>4.2}x on {} threads",
+            "{:<18} kernel {:>10.0}/s | staged {:>10.0}/s | full {:>10.0}/s | staged/full {:>5.2}x | kernel/staged {:>5.2}x | array×{} {:>10.0}/s | run_batch {:>4.2}x on {} threads",
             r.scenario,
             r.kernel_samples_per_s,
-            r.incremental_samples_per_s,
             r.staged_samples_per_s,
             r.full_samples_per_s,
             r.speedup,
-            r.incremental_speedup,
             r.kernel_speedup,
             r.array_receivers,
             r.array_samples_per_s,

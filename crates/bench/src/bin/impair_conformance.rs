@@ -15,20 +15,17 @@
 //! at 100 %, exact monotonicity (clean ≥ every impaired cell — the
 //! matrix is deterministic, so equality-tight gates are safe), the
 //! mild-severity floors, full matrix coverage, and the two-tag
-//! contention verdicts. Exits non-zero on any violation.
+//! contention verdicts. Exits non-zero on any violation. An unknown flag
+//! or a count that is not a positive integer prints the usage and exits
+//! 2.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let rest: Vec<&String> = args
-        .iter()
-        .filter(|a| !matches!(a.as_str(), "--smoke" | "--check" | "--verbose"))
-        .collect();
-    let path = rest.first().map(|s| s.as_str());
-    let seeds: usize =
-        rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(if smoke { 2 } else { 6 });
+    let args = palc_bench::parse_args(
+        "usage: impair_conformance [--smoke] [--check] [--verbose] [out.json [seeds]]",
+    );
+    let (smoke, check, verbose) = (args.smoke, args.check, args.verbose);
+    let path = args.out.as_deref();
+    let seeds = args.count.map_or(if smoke { 2 } else { 6 }, |n| n as usize);
 
     let report = palc_bench::conformance::conformance_report(seeds);
 

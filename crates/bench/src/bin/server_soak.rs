@@ -16,22 +16,20 @@
 //! sessions, every injected panic quarantined into `SessionFault`,
 //! every stalled session reaped, and shed counters nonzero only on the
 //! overloaded `ShedOldest` population. Exits non-zero on any violation.
+//! An unknown flag or a count that is not a positive integer prints the
+//! usage and exits 2.
 
 use palc_bench::soak::{check_soak, run_soak, to_json, SoakConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let rest: Vec<&String> = args
-        .iter()
-        .filter(|a| !matches!(a.as_str(), "--smoke" | "--check" | "--verbose"))
-        .collect();
-    let path = rest.first().map(|s| s.as_str());
+    let args = palc_bench::parse_args(
+        "usage: server_soak [--smoke] [--check] [--verbose] [out.json [sessions]]",
+    );
+    let (smoke, check, verbose) = (args.smoke, args.check, args.verbose);
+    let path = args.out.as_deref();
     let mut cfg = if smoke { SoakConfig::smoke() } else { SoakConfig::full() };
-    if let Some(n) = rest.get(1).and_then(|s| s.parse().ok()) {
-        cfg.sessions = n;
+    if let Some(n) = args.count {
+        cfg.sessions = n as usize;
     }
 
     println!("soaking {} sessions over {} feeders (workers auto)...", cfg.sessions, cfg.feeders);

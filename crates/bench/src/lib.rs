@@ -24,6 +24,67 @@ pub use std::hint::black_box;
 
 use std::time::Instant;
 
+/// The command line the bench binaries share:
+/// `[--smoke] [--check] [--verbose] [--help] [out.json [count]]`.
+#[derive(Debug, Default, PartialEq)]
+pub struct BenchArgs {
+    /// `--smoke`: the short CI run, written only to an explicit path.
+    pub smoke: bool,
+    /// `--check`: gate the run on its floors.
+    pub check: bool,
+    /// `--verbose`: print per-cell or per-point detail.
+    pub verbose: bool,
+    /// The output JSON path.
+    pub out: Option<String>,
+    /// The binary's repetition knob (reps, seeds or sessions), ≥ 1.
+    pub count: Option<u64>,
+}
+
+/// [`parse_args`] over explicit arguments (program name excluded);
+/// `Ok(None)` means `--help`.
+fn parse_args_from(args: &[&str]) -> Result<Option<BenchArgs>, String> {
+    let mut parsed = BenchArgs::default();
+    let mut positional = Vec::new();
+    for &arg in args {
+        match arg {
+            "--smoke" => parsed.smoke = true,
+            "--check" => parsed.check = true,
+            "--verbose" => parsed.verbose = true,
+            "--help" => return Ok(None),
+            _ if arg.starts_with('-') => return Err(format!("unknown flag `{arg}`")),
+            _ => positional.push(arg),
+        }
+    }
+    if positional.len() > 2 {
+        return Err(format!("unexpected argument `{}`", positional[2]));
+    }
+    parsed.out = positional.first().map(|s| s.to_string());
+    if let Some(count) = positional.get(1) {
+        let n = count.parse().ok().filter(|&n: &u64| n > 0);
+        parsed.count = Some(n.ok_or(format!("count `{count}` is not a positive integer"))?);
+    }
+    Ok(Some(parsed))
+}
+
+/// Parses the process arguments. `--help` prints `usage` and exits 0.
+/// An unknown flag, a count that is not a positive integer, or a third
+/// positional argument prints the error and `usage` and exits 2, so a
+/// mistyped flag can never be taken for the output path.
+pub fn parse_args(usage: &str) -> BenchArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args_from(&args.iter().map(String::as_str).collect::<Vec<_>>()) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{usage}");
+            std::process::exit(0)
+        }
+        Err(msg) => {
+            eprintln!("error: {msg}\n{usage}");
+            std::process::exit(2)
+        }
+    }
+}
+
 /// One benchmark's measurement.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
@@ -100,6 +161,25 @@ mod tests {
         let r = bench("selftest/sum", || (0..1000u64).sum::<u64>());
         assert!(r.median_ns > 0.0);
         assert!(r.iters > 0);
+    }
+
+    #[test]
+    fn parse_args_reads_flags_and_positionals() {
+        assert_eq!(parse_args_from(&[]), Ok(Some(BenchArgs::default())));
+        let want = BenchArgs {
+            smoke: true,
+            check: true,
+            verbose: true,
+            out: Some("out.json".into()),
+            count: Some(7),
+        };
+        let args = ["--check", "out.json", "--smoke", "7", "--verbose"];
+        assert_eq!(parse_args_from(&args), Ok(Some(want)));
+        assert_eq!(parse_args_from(&["--smoke", "--help"]), Ok(None));
+        // A mistyped flag must never become the output path.
+        for bad in [&["--chek"][..], &["a.json", "two"], &["a.json", "0"], &["a.json", "2", "x"]] {
+            assert!(parse_args_from(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -49,20 +49,17 @@
 //!        │ surface_at(x, y, t)                │ illuminance / envelope
 //!        ▼                                    ▼
 //!  ┌───────────────────────────────────────────────────────────────────┐
-//!  │ channel — four-tier integrator                                    │
-//!  │          (full → staged → incremental → kernel)                   │
+//!  │ channel — three-tier integrator (full → staged → kernel)          │
 //!  │   StaticField: background footprint integral (ground + stray      │
 //!  │   pedestal), integrated ONCE per scene, valid whenever the source │
 //!  │   factorises as profile(p) × envelope(t)                          │
 //!  │   staged tick: static_total × envelope(t)                         │
 //!  │           + Σ over patches covered by objects (x_extent_at /      │
 //!  │             lane_band bounds) of (object patch − background patch)│
-//!  │   DeltaField tick: cached per-column deltas; re-integrates ONLY   │
-//!  │           the patches a surface breakpoint swept since the last   │
-//!  │           tick — O(boundary), with exact staged/full fallbacks    │
 //!  │   FootprintKernel tick: per-object per-(height, material)-bin     │
 //!  │           column-geometry tables precomputed at build; a tick is  │
-//!  │           pure lookups — no acos/powf/exp/sqrt, no surface scans  │
+//!  │           pure lookups — no acos/powf/exp/sqrt, no surface scans, │
+//!  │           with exact staged/full fallbacks                        │
 //!  └───────────────────────────────┬───────────────────────────────────┘
 //!                                  │ E_rx(t), one sample at a time
 //!                                  ▼
@@ -458,7 +455,7 @@ impl PassiveChannel {
     /// nadir and the background integral probed at world coordinates, so
     /// each receiver of an array owns its own field over the shared
     /// scene. The pose travels with the returned field — every staged or
-    /// incremental consumer reads it back from there.
+    /// kernel consumer reads it back from there.
     pub fn static_field_at(&self, pose: ReceiverPose) -> Option<StaticField> {
         let env0 = self.source.flicker_envelope(0.0)?;
         if !env0.is_finite() || env0 <= 1e-12 {
@@ -524,43 +521,14 @@ impl PassiveChannel {
         Some(StaticField { bg, dark, static_total: pedestal_base + bg_total, grid: g, pose })
     }
 
-    /// Builds the incremental (third-tier) integrator over `field`, or
-    /// `None` when any object's surface is not piecewise-static in its
-    /// own frame (an LCD shutter tag switches materials over time), in
-    /// which case consumers stay on the staged tier.
-    ///
-    /// `field` must come from [`PassiveChannel::static_field`] on this
-    /// same channel configuration; the [`DeltaField`] is then valid for
-    /// exactly as long as the field itself.
-    pub fn delta_field(&self, field: Arc<StaticField>) -> Option<DeltaField> {
-        let steps = field.grid.steps;
-        let mut objects = Vec::with_capacity(self.objects.len());
-        for obj in &self.objects {
-            let breakpoints = obj.profile_breakpoints()?;
-            let (y_lo, y_hi) = obj.lane_band();
-            objects.push(ObjectDeltaState {
-                breakpoints,
-                length: obj.length_m(),
-                stationary: obj.is_stationary(),
-                y_lo,
-                y_hi,
-                last_lead: None,
-                lo: 0,
-                hi: 0,
-                col_delta: vec![0.0; steps],
-            });
-        }
-        Some(DeltaField { field, objects, spans: Vec::new(), pending: Vec::new() })
-    }
-
-    /// Builds the table-driven (fourth-tier) integrator over `field`, or
+    /// Builds the table-driven (third-tier) integrator over `field`, or
     /// `None` when the scene cannot be represented by time-invariant
     /// geometry tables: a non-separable or degenerate envelope (no
     /// static field exists then anyway), or any *reachable* object
     /// without a piecewise-static surface profile (an LCD shutter tag
     /// switches materials over time —
     /// [`palc_scene::MobileObject::surface_profile`] returns `None` and
-    /// those scenes stay on the staged/incremental tiers; an LCD tag the
+    /// those scenes stay on the staged tier; an LCD tag the
     /// build-time index proves can never touch this pose's footprint is
     /// harmless and does not disable the kernel).
     ///
@@ -644,13 +612,13 @@ impl PassiveChannel {
 
             // One interned pool row per bin: the exact unit-envelope
             // object-minus-background delta of the whole column, had
-            // this bin's surface covered it — the same arithmetic
-            // `column_delta` performs per tick, done once per *distinct*
-            // geometry. The row depends only on the object's lane band
-            // and the bin's numeric surface (position enters per tick
-            // through the leading edge), so the hash-cons key is exactly
-            // those six floats, bit-for-bit: identical objects in the
-            // same lane share one row however many of them the scene
+            // this bin's surface covered it — the staged walk's
+            // per-patch arithmetic divided by the envelope, done once per
+            // *distinct* geometry. The row depends only on the object's
+            // lane band and the bin's numeric surface (position enters
+            // per tick through the leading edge), so the hash-cons key is
+            // exactly those six floats, bit-for-bit: identical objects in
+            // the same lane share one row however many of them the scene
             // holds. A slice is included only when BOTH lane tests the
             // per-tick paths apply agree (`lane_band` in the covered
             // test, `(y - lane_y).abs() <= lateral/2` in the surface
@@ -961,8 +929,8 @@ impl PassiveChannel {
 
     /// A streaming sampler for a receiver at an explicit
     /// [`ReceiverPose`]: precomputes that pose's own [`StaticField`]
-    /// (plus the incremental [`DeltaField`] and the pose-relative
-    /// [`FootprintKernel`] geometry tables, when the scene permits) over
+    /// (plus the pose-relative [`FootprintKernel`] geometry tables, when
+    /// the scene permits) over
     /// the shared scene objects — the per-shard state a receiver-array
     /// worker owns.
     pub fn sampler_at_pose(
@@ -993,13 +961,11 @@ impl PassiveChannel {
         fe.amplifier = self.frontend.amplifier;
         let state = fe.streamer(self.source.spectrum());
         let fs = self.frontend.sample_rate_hz();
-        let delta = field.clone().and_then(|f| self.delta_field(f));
         let kernel = field.clone().and_then(|f| self.footprint_kernel(f));
         ChannelSampler {
             channel: self,
             pose,
             field,
-            delta,
             kernel,
             state,
             fs,
@@ -1078,7 +1044,7 @@ pub struct StaticField {
     /// centred on `pose`'s nadir).
     grid: FootprintGrid,
     /// The receiver pose this field was integrated for. Staged and
-    /// incremental consumers read the pose back from here, so a field
+    /// kernel consumers read the pose back from here, so a field
     /// can never be walked under a different receiver position than it
     /// was built for.
     pose: ReceiverPose,
@@ -1103,110 +1069,10 @@ impl StaticField {
     }
 }
 
-/// Per-object state of a [`DeltaField`]: the covered column interval and
-/// the cached per-column contribution deltas.
-#[derive(Debug, Clone)]
-struct ObjectDeltaState {
-    /// Local breakpoints of the object's piecewise-static surface,
-    /// ascending from 0 to the object length
-    /// ([`MobileObject::profile_breakpoints`]).
-    breakpoints: Vec<f64>,
-    /// Object length along the track, metres (the last breakpoint).
-    length: f64,
-    /// Never moves ([`MobileObject::is_stationary`]): the displacement
-    /// query is skipped once the leading edge is cached.
-    stationary: bool,
-    /// Lane band `[y_lo, y_hi]`, fixed for the object's lifetime.
-    y_lo: f64,
-    y_hi: f64,
-    /// Leading edge at the last incremental tick (`None` before the
-    /// first). Fallback ticks leave it pinned, so resuming re-integrates
-    /// exactly the columns swept in between.
-    last_lead: Option<f64>,
-    /// Cached covered column interval `[lo, hi)`; empty when `lo == hi`.
-    lo: usize,
-    hi: usize,
-    /// Per-column `Σ_slices (object patch − background patch)` at unit
-    /// envelope, indexed by grid column; meaningful only in `[lo, hi)`.
-    col_delta: Vec<f64>,
-}
-
-impl TickObject for ObjectDeltaState {
-    fn cached_lead(&self) -> Option<f64> {
-        self.last_lead
-    }
-    fn stationary(&self) -> bool {
-        self.stationary
-    }
-    fn length(&self) -> f64 {
-        self.length
-    }
-    fn band(&self) -> (f64, f64) {
-        (self.y_lo, self.y_hi)
-    }
-}
-
-/// The incremental (third) tier of the footprint integrator: a stateful
-/// delta-field that re-integrates only the patches whose resolved surface
-/// *changed* since the previous tick, instead of every object-covered
-/// patch the staged tier walks.
-///
-/// ## Why caching is sound
-///
-/// For an envelope-separable source the contribution of a patch with a
-/// fixed resolved surface factorises as `G(x, y, material, height) ×
-/// envelope(t)`: the probe gate uses the time-invariant unit-envelope
-/// probe, the patch illuminance is `profile(p) × envelope(t)`, and every
-/// remaining factor (FoV weight, mirror geometry, path transmission) is
-/// pure geometry. So `contribution(t) / envelope(t)` is a constant as
-/// long as the same surface covers the patch. An object's surface is
-/// piecewise static in its *own* frame ([`MobileObject::profile_breakpoints`]);
-/// as the object translates, the resolved surface at a fixed world patch
-/// changes only when a breakpoint sweeps across the patch centre. Objects
-/// move a fraction of a patch per ADC tick, so per tick only a handful of
-/// boundary patches need re-integration — O(boundary), not O(covered
-/// area) — and a parked object (`speed_mps: 0`) stops paying the dynamic
-/// path entirely after its first tick.
-///
-/// ## Exact fallbacks
-///
-/// Every tick that cannot be served incrementally routes to the exact
-/// lower tier, and the cache stays pinned at the last incremental tick so
-/// resuming re-integrates precisely the columns swept in the gap:
-///
-/// * envelope break (`flicker_envelope` → `None`) → full per-tick
-///   integral, exactly like [`PassiveChannel::illuminance_staged`];
-/// * degenerate envelope (≤ 1e-12) → staged integral;
-/// * two objects overlapping in both column range and lane band
-///   (occlusion / double-count hazard) → staged integral until they
-///   separate;
-/// * a scene with any non-piecewise-static surface (an LCD shutter tag)
-///   never builds a `DeltaField` at all
-///   ([`PassiveChannel::delta_field`] returns `None`).
-///
-/// Trajectory discontinuities and direction reversals need no fallback:
-/// the swept-column computation covers `[min(lead), max(lead)]` per
-/// breakpoint, so a jump or reversal just re-integrates a wider band that
-/// one tick.
-///
-/// Built by [`PassiveChannel::delta_field`]; owned by [`ChannelSampler`]
-/// (every sampler- and streaming-based run rides it by default).
-/// Equivalence with the staged and full tiers to ≤ 1e-9 is pinned by
-/// golden tests here and property tests in `tests/properties.rs`.
-#[derive(Debug, Clone)]
-pub struct DeltaField {
-    field: Arc<StaticField>,
-    objects: Vec<ObjectDeltaState>,
-    /// Scratch: per-tick `(lead, lo, hi)` of every object.
-    spans: Vec<(f64, usize, usize)>,
-    /// Scratch: columns scheduled for re-integration.
-    pending: Vec<usize>,
-}
-
 /// The staged walk's widened column interval for world extent
-/// `[x_lo, x_hi]` — one definition shared with
-/// [`PassiveChannel::illuminance_staged`] so the two tiers can never
-/// disagree about which columns an object may touch.
+/// `[x_lo, x_hi]` — one definition shared by
+/// [`PassiveChannel::illuminance_staged`] and [`FootprintKernel`] so the
+/// two tiers can never disagree about which columns an object may touch.
 fn column_range(g: &FootprintGrid, x_lo: f64, x_hi: f64) -> (usize, usize) {
     let lo = (((x_lo + g.r_max) / g.dx - 1.0).floor()).max(0.0) as usize;
     let hi_f = ((x_hi + g.r_max) / g.dx + 1.0).ceil();
@@ -1222,7 +1088,7 @@ fn column_range(g: &FootprintGrid, x_lo: f64, x_hi: f64) -> (usize, usize) {
 }
 
 /// The exact lower tier that must serve a tick whose envelope the
-/// stateful tiers' unit-envelope state cannot rescale — see
+/// kernel's unit-envelope tables cannot rescale — see
 /// [`envelope_or_fallback`].
 enum EnvelopeFallback {
     /// Envelope break (`flicker_envelope` → `None`): full per-tick
@@ -1232,216 +1098,15 @@ enum EnvelopeFallback {
     Staged,
 }
 
-/// The per-tick envelope decision the stateful tiers ([`DeltaField`] and
-/// [`FootprintKernel`]) share: `Ok(env)` when the tick can be served from
-/// unit-envelope caches/tables, `Err` naming the exact lower tier
-/// otherwise. One definition so the tiers can never diverge on the
-/// fallback policy.
+/// The envelope decision of [`FootprintKernel`], per tick and at build
+/// time: `Ok(env)` when the tick can be served from the unit-envelope
+/// tables, `Err` naming the exact lower tier otherwise. One definition
+/// so the build and the tick can never diverge on the fallback policy.
 fn envelope_or_fallback(channel: &PassiveChannel, t: f64) -> Result<f64, EnvelopeFallback> {
     match channel.source.flicker_envelope(t) {
         None => Err(EnvelopeFallback::Full),
         Some(env) if !env.is_finite() || env <= 1e-12 => Err(EnvelopeFallback::Staged),
         Some(env) => Ok(env),
-    }
-}
-
-/// The per-object tick state both stateful tiers carry — enough for
-/// [`resolve_spans`] to compute covered column intervals and the
-/// overlap-fallback decision from one definition.
-trait TickObject {
-    /// The lead cached by a previous tick, when one exists.
-    fn cached_lead(&self) -> Option<f64>;
-    /// Never moves ([`MobileObject::is_stationary`]): the cached lead is
-    /// reused without even a displacement query.
-    fn stationary(&self) -> bool;
-    /// Object length along the track, metres.
-    fn length(&self) -> f64;
-    /// Lane band `[y_lo, y_hi]`, fixed for the object's lifetime.
-    fn band(&self) -> (f64, f64);
-}
-
-/// The span preamble the [`DeltaField`] and [`FootprintKernel`] tiers
-/// share: resolves each object's leading edge (stationary objects reuse
-/// their cached lead) and covered column interval into `spans`, then
-/// reports whether any two objects overlap in both column range and lane
-/// band — the occlusion case (max height wins) that neither per-column
-/// caches nor per-object tables can express. `true` means the caller
-/// must serve the tick from the exact staged walk (which merges spans)
-/// until the objects separate.
-fn resolve_spans<O: TickObject>(
-    g: &FootprintGrid,
-    pose: ReceiverPose,
-    states: &[O],
-    objects: &[MobileObject],
-    t: f64,
-    spans: &mut Vec<(f64, usize, usize)>,
-) -> bool {
-    spans.clear();
-    for (st, obj) in states.iter().zip(objects) {
-        let lead = match st.cached_lead() {
-            Some(l) if st.stationary() => l,
-            _ => obj.leading_edge_at(t),
-        };
-        // Column indices are receiver-local: world extents shift into
-        // the pose's frame before clipping to the grid.
-        let (lo, hi) = column_range(g, lead - st.length() - pose.x_m, lead - pose.x_m);
-        spans.push((lead, lo, hi));
-    }
-    for i in 0..spans.len() {
-        for j in (i + 1)..spans.len() {
-            let (_, lo_i, hi_i) = spans[i];
-            let (_, lo_j, hi_j) = spans[j];
-            let (y_lo_i, y_hi_i) = states[i].band();
-            let (y_lo_j, y_hi_j) = states[j].band();
-            if lo_i < hi_j && lo_j < hi_i && y_lo_i <= y_hi_j && y_lo_j <= y_hi_i {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// One column's object-minus-background delta at unit envelope: the
-/// quantity [`DeltaField`] caches. Mirrors the staged walk's per-patch
-/// arithmetic (same centre-inclusion test, same dark-patch skip, same
-/// hoisted lane membership) divided by the envelope.
-#[allow(clippy::too_many_arguments)]
-fn column_delta(
-    channel: &PassiveChannel,
-    field: &StaticField,
-    st: &ObjectDeltaState,
-    ix: usize,
-    lead: f64,
-    t: f64,
-    env: f64,
-    members: &SliceMembers,
-) -> f64 {
-    let g = &field.grid;
-    let pose = field.pose;
-    let x = pose.x_m + g.x(ix);
-    if x < lead - st.length || x > lead {
-        return 0.0; // inside the widened interval but not yet covered
-    }
-    let rx_pos = pose.vec3();
-    let mut acc = 0.0;
-    for iy in 0..g.slices {
-        let idx = ix * g.slices + iy;
-        if field.dark[idx] {
-            continue;
-        }
-        let y = pose.y_m + g.y(iy);
-        if y < st.y_lo || y > st.y_hi {
-            continue;
-        }
-        acc += channel.patch_contribution(x, y, g.dx, g.dy, t, rx_pos, Some(env), members.of(iy))
-            / env
-            - field.bg[idx];
-    }
-    acc
-}
-
-impl DeltaField {
-    /// Noise-free illuminance at time `t`, incrementally: the static
-    /// total plus the cached per-column deltas, re-integrating only the
-    /// columns that entered coverage or were swept by a surface
-    /// breakpoint since the last call. Falls back to the exact staged or
-    /// full tier per tick as described on [`DeltaField`].
-    ///
-    /// `channel` must be the channel this field was built from (same
-    /// objects, same grid).
-    pub fn illuminance(&mut self, channel: &PassiveChannel, t: f64) -> f64 {
-        debug_assert_eq!(
-            self.objects.len(),
-            channel.objects.len(),
-            "delta field built for a different scene"
-        );
-        let env = match envelope_or_fallback(channel, t) {
-            Ok(env) => env,
-            Err(EnvelopeFallback::Full) => return channel.illuminance_at_pose(self.field.pose, t),
-            Err(EnvelopeFallback::Staged) => return channel.illuminance_staged(&self.field, t),
-        };
-        let g = self.field.grid;
-        let pose = self.field.pose;
-
-        let mut spans = std::mem::take(&mut self.spans);
-        if resolve_spans(&g, pose, &self.objects, &channel.objects, t, &mut spans) {
-            // Overlap fallback: caches stay pinned at the last
-            // incremental tick and resume exactly.
-            self.spans = spans;
-            return channel.illuminance_staged(&self.field, t);
-        }
-
-        let mut pending = std::mem::take(&mut self.pending);
-        // Hoisted lane coverage for the swept-column re-integrations
-        // (identical decisions to the staged walk's member lists),
-        // computed only on ticks that actually re-integrate a column — a
-        // frozen tick stays allocation-free.
-        let mut members: Option<SliceMembers> = None;
-        let mut dynamic = 0.0;
-        for (k, st) in self.objects.iter_mut().enumerate() {
-            let (lead, new_lo, new_hi) = spans[k];
-            pending.clear();
-            match st.last_lead {
-                // Frozen world: every cached column is still valid.
-                Some(prev) if prev == lead => {}
-                Some(prev) => {
-                    // Columns a breakpoint swept since the last
-                    // incremental tick, either direction of travel,
-                    // widened by one patch against edge rounding.
-                    let (a, b) = if prev <= lead { (prev, lead) } else { (lead, prev) };
-                    for &c in &st.breakpoints {
-                        // Swept world band, shifted receiver-local before
-                        // the column-index mapping.
-                        let x0 = a - c - g.dx - pose.x_m;
-                        let x1 = b - c + g.dx - pose.x_m;
-                        let i0 = (((x0 + g.r_max) / g.dx - 0.5).floor()).max(0.0) as usize;
-                        let i1 =
-                            ((((x1 + g.r_max) / g.dx + 0.5).ceil()).max(0.0) as usize).min(g.steps);
-                        for ix in i0.max(new_lo)..i1.min(new_hi) {
-                            pending.push(ix);
-                        }
-                    }
-                    // Columns entering the covered interval.
-                    for ix in new_lo..new_hi {
-                        if ix < st.lo || ix >= st.hi {
-                            pending.push(ix);
-                        }
-                    }
-                }
-                None => pending.extend(new_lo..new_hi),
-            }
-            // Columns leaving the interval stop contributing.
-            for ix in st.lo..st.hi {
-                if ix < new_lo || ix >= new_hi {
-                    st.col_delta[ix] = 0.0;
-                }
-            }
-            pending.sort_unstable();
-            pending.dedup();
-            for &ix in &pending {
-                let members = members.get_or_insert_with(|| channel.slice_members(&g, pose));
-                st.col_delta[ix] =
-                    column_delta(channel, &self.field, st, ix, lead, t, env, members);
-            }
-            st.last_lead = Some(lead);
-            st.lo = new_lo;
-            st.hi = new_hi;
-            // The running dynamic total is re-summed from the caches each
-            // tick (a few hundred additions) rather than maintained by
-            // add/subtract, so rounding error cannot accumulate over a
-            // long run.
-            for ix in st.lo..st.hi {
-                dynamic += st.col_delta[ix];
-            }
-        }
-        self.spans = spans;
-        self.pending = pending;
-        (self.field.static_total + dynamic) * env
-    }
-
-    /// The static field this integrator layers its deltas on.
-    pub fn static_field(&self) -> &StaticField {
-        &self.field
     }
 }
 
@@ -1538,7 +1203,7 @@ pub struct KernelStats {
     pub objects_movers: usize,
 }
 
-/// The table-driven (fourth) tier of the footprint integrator: per-tick
+/// The table-driven (third) tier of the footprint integrator: per-tick
 /// patch evaluation as pure lookups over precomputed, contiguous
 /// per-column geometry tables — no `acos`/`cos`/`powf` (FoV weight), no
 /// `exp` (path transmission), no `sqrt` (distance), no specular mirror
@@ -1546,11 +1211,14 @@ pub struct KernelStats {
 ///
 /// ## Why the tables are sound
 ///
-/// The same factorisation [`DeltaField`] exploits, taken to its
-/// conclusion: for an envelope-separable source, the contribution of a
-/// patch resolved to a fixed `(material, height)` surface is
+/// For an envelope-separable source, the contribution of a patch
+/// resolved to a fixed `(material, height)` surface is
 /// `G(x, y, material, height) × envelope(t)` with `G` pure
-/// time-invariant geometry. The set of surfaces an object can present is
+/// time-invariant geometry: the probe gate uses the time-invariant
+/// unit-envelope probe, the patch illuminance is `profile(p) ×
+/// envelope(t)`, and every remaining factor (FoV weight, mirror
+/// geometry, path transmission) depends on position alone. The set of
+/// surfaces an object can present is
 /// finite and enumerable ([`palc_scene::MobileObject::surface_profile`]:
 /// one *bin* per distinct `(material, height)` pair), so `G` summed over
 /// a column's slices can be tabulated per `(object, bin, column)` at
@@ -1565,8 +1233,8 @@ pub struct KernelStats {
 ///
 /// ## Exact fallbacks
 ///
-/// Mirrors [`DeltaField`]'s discipline — any tick the tables cannot
-/// represent is served exactly by a lower tier:
+/// Any tick the tables cannot represent is served exactly by a lower
+/// tier:
 ///
 /// * envelope break (`flicker_envelope` → `None`) → full per-tick
 ///   integral;
@@ -1576,11 +1244,10 @@ pub struct KernelStats {
 ///   table can express) → staged integral until they separate;
 /// * a scene with any non-piecewise-static surface (LCD shutter tag)
 ///   never builds a kernel at all ([`PassiveChannel::footprint_kernel`]
-///   returns `None`) and rides the staged/incremental tiers.
+///   returns `None`) and rides the staged tier.
 ///
 /// The only per-tick mutable state is the event cursor and the active
-/// mover list — both reset deterministically when time runs backwards —
-/// so fallback ticks need no pinning.
+/// mover list; both stay exact across fallback ticks and time rewinds.
 ///
 /// ## Scaling layer
 ///
@@ -1605,8 +1272,8 @@ pub struct KernelStats {
 /// Built by [`PassiveChannel::footprint_kernel`]; owned by
 /// [`ChannelSampler`] (every sampler- and streaming-based run rides it
 /// by default; [`ChannelSampler::without_kernel`] opts out onto the
-/// incremental tier). Equivalence with the incremental, staged and full
-/// tiers to ≤ 1e-9 is pinned by golden tests here, property tests in
+/// staged tier). Equivalence with the staged and full tiers to ≤ 1e-9
+/// is pinned by golden tests here, property tests in
 /// `tests/properties.rs`, and a bench-side guard per scenario family.
 #[derive(Debug, Clone)]
 pub struct FootprintKernel {
@@ -1739,23 +1406,10 @@ impl FootprintKernel {
     }
     // palc_lint: end hot-path
 
-    /// The static field these tables layer on.
-    pub fn static_field(&self) -> &StaticField {
-        &self.field
-    }
-
     /// Build-time statistics: tables built vs interned, pool bytes, and
     /// the culled/parked/mover split of the scene's objects.
     pub fn stats(&self) -> KernelStats {
         self.stats
-    }
-
-    /// Total precomputed table entries resident in the interned pool —
-    /// the build-time footprint the per-tick loop trades transcendentals
-    /// for. Shared rows count once; see [`FootprintKernel::stats`] for
-    /// how many requests the pool deduplicated.
-    pub fn table_entries(&self) -> usize {
-        self.pool.len()
     }
 }
 
@@ -1775,7 +1429,6 @@ pub struct ChannelSampler<'a> {
     /// fallback when none is).
     pose: ReceiverPose,
     field: Option<Arc<StaticField>>,
-    delta: Option<DeltaField>,
     kernel: Option<FootprintKernel>,
     state: FrontendState,
     fs: f64,
@@ -1800,16 +1453,7 @@ impl ChannelSampler<'_> {
         self.field.is_some()
     }
 
-    /// Whether the incremental [`DeltaField`] tier is available (staged
-    /// field exists *and* every object piecewise-static). Note the
-    /// kernel tier outranks it: when [`ChannelSampler::is_kernel`] is
-    /// also true, ticks are served from the tables, with the delta field
-    /// standing by for [`ChannelSampler::without_kernel`].
-    pub fn is_incremental(&self) -> bool {
-        self.delta.is_some()
-    }
-
-    /// Whether the table-driven [`FootprintKernel`] (fourth) tier is
+    /// Whether the table-driven [`FootprintKernel`] (third) tier is
     /// active — the default whenever the scene permits.
     pub fn is_kernel(&self) -> bool {
         self.kernel.is_some()
@@ -1822,22 +1466,12 @@ impl ChannelSampler<'_> {
         self.kernel.as_ref().map(|k| k.stats())
     }
 
-    /// Drops the kernel tier, forcing every tick through the incremental
-    /// [`DeltaField`] (or lower). Mirrors
-    /// [`ChannelSampler::without_incremental`]; used to benchmark the
-    /// tiers against each other and to pin their equivalence in tests.
+    /// Drops the kernel tier, forcing every tick through the staged
+    /// covered-patch re-integration (or the full integral when no static
+    /// field exists). Used to benchmark the kernel against the staged
+    /// reference and to pin their equivalence in tests.
     pub fn without_kernel(mut self) -> Self {
         self.kernel = None;
-        self
-    }
-
-    /// Drops the kernel *and* incremental tiers, forcing every tick
-    /// through the staged covered-patch re-integration (or the full
-    /// integral when no static field exists). Used to benchmark the
-    /// tiers against each other and to pin their equivalence in tests.
-    pub fn without_incremental(mut self) -> Self {
-        self.kernel = None;
-        self.delta = None;
         self
     }
 
@@ -1857,11 +1491,10 @@ impl Iterator for ChannelSampler<'_> {
         }
         let t = self.i as f64 / self.fs;
         self.i += 1;
-        let lux = match (&mut self.kernel, &mut self.delta, &self.field) {
-            (Some(k), _, _) => k.illuminance(self.channel, t),
-            (None, Some(df), _) => df.illuminance(self.channel, t),
-            (None, None, Some(f)) => self.channel.illuminance_staged(f, t),
-            (None, None, None) => self.channel.illuminance_at_pose(self.pose, t),
+        let lux = match (&mut self.kernel, &self.field) {
+            (Some(k), _) => k.illuminance(self.channel, t),
+            (None, Some(f)) => self.channel.illuminance_staged(f, t),
+            (None, None) => self.channel.illuminance_at_pose(self.pose, t),
         };
         Some(self.state.step_f64(lux))
     }
@@ -2069,7 +1702,7 @@ impl Scenario {
     /// [`Scenario::outdoor_car`] with an explicit trajectory and lead
     /// distance — long or slow passes (a traffic-jam crawl past a gate
     /// reader) where the car sits in the footprint for most of the run,
-    /// the workload the incremental integrator is built for.
+    /// the workload the footprint kernel's per-tick lookups pay off on.
     pub fn outdoor_car_pass(
         car: CarModel,
         packet: Option<Packet>,
@@ -2294,24 +1927,18 @@ impl Scenario {
     }
 
     /// Runs without noise/quantisation: the noise-free illuminance trace
-    /// (kernel tables when the scene permits, incremental/staged
-    /// otherwise).
+    /// (kernel tables when the scene permits, staged or full otherwise).
     pub fn run_clean(&self) -> Trace {
         let fs = self.channel.frontend.sample_rate_hz();
         let n = (self.duration_s * fs).ceil() as usize;
         let field = self.current_field();
         let mut kernel = field.clone().and_then(|f| self.channel.footprint_kernel(f));
-        let mut delta = match kernel {
-            Some(_) => None,
-            None => field.clone().and_then(|f| self.channel.delta_field(f)),
-        };
         let samples = (0..n)
             .map(|i| {
                 let t = i as f64 / fs;
-                match (&mut kernel, &mut delta) {
-                    (Some(k), _) => k.illuminance(&self.channel, t),
-                    (None, Some(df)) => df.illuminance(&self.channel, t),
-                    (None, None) => self.channel.illuminance_with(field.as_deref(), t),
+                match &mut kernel {
+                    Some(k) => k.illuminance(&self.channel, t),
+                    None => self.channel.illuminance_with(field.as_deref(), t),
                 }
             })
             .collect();
@@ -2436,7 +2063,6 @@ mod tests {
     fn assert_golden(sc: &Scenario, seed: u64, label: &str) {
         let sampler = sc.sampler(seed);
         assert!(sampler.is_staged(), "{label}: staged path must engage");
-        assert!(sampler.is_incremental(), "{label}: incremental tier must engage");
         assert!(sampler.is_kernel(), "{label}: kernel tier must engage");
         let streamed: Vec<f64> = sampler.collect();
         let reference = reference_run(sc, seed);
@@ -2444,17 +2070,9 @@ mod tests {
         for (i, (s, r)) in streamed.iter().zip(&reference).enumerate() {
             assert!((s - r).abs() <= 1e-9, "{label}: sample {i} diverged: kernel {s} vs full {r}");
         }
-        // Every intermediate tier agrees too: the incremental stream
-        // (kernel disabled) and the staged-only stream (kernel and
-        // incremental disabled) must stay within the same envelope.
-        let incremental: Vec<f64> = sc.sampler(seed).without_kernel().collect();
-        for (i, (s, r)) in streamed.iter().zip(&incremental).enumerate() {
-            assert!(
-                (s - r).abs() <= 1e-9,
-                "{label}: sample {i} diverged: kernel {s} vs incremental {r}"
-            );
-        }
-        let staged: Vec<f64> = sc.sampler(seed).without_incremental().collect();
+        // The intermediate tier agrees too: the staged stream (kernel
+        // disabled) must stay within the same envelope.
+        let staged: Vec<f64> = sc.sampler(seed).without_kernel().collect();
         for (i, (s, r)) in streamed.iter().zip(&staged).enumerate() {
             assert!(
                 (s - r).abs() <= 1e-9,
@@ -2575,7 +2193,7 @@ mod tests {
         use palc_optics::source::CompositeSource;
         // Two fluorescent fixtures on the same mains phase: identical
         // ripple envelopes, so the composite is separable and the staged
-        // (and incremental) tiers engage — pinned against the full
+        // (and kernel) tiers engage — pinned against the full
         // integral like every other golden scene.
         let mut sc = Scenario::ceiling_office(packet("10"), 0.03, 500.0);
         sc.channel_mut().source = Box::new(CompositeSource::new(vec![
@@ -2591,7 +2209,7 @@ mod tests {
     fn lcd_scene_stays_on_the_staged_tier() {
         use palc_scene::LcdShutterTag;
         // A time-switching surface has no piecewise-static decomposition:
-        // the delta field must refuse to build and the staged tier (which
+        // the kernel must refuse to build and the staged tier (which
         // resolves surfaces per tick) must carry the scene, still exact.
         let lcd = LcdShutterTag::new(
             vec![
@@ -2606,7 +2224,6 @@ mod tests {
         sc.calibrate_gain();
         let sampler = sc.sampler(3);
         assert!(sampler.is_staged());
-        assert!(!sampler.is_incremental(), "time-switching surface: no delta field");
         assert!(!sampler.is_kernel(), "time-switching surface: no geometry tables");
         let streamed: Vec<f64> = sampler.collect();
         let reference = reference_run(&sc, 3);
@@ -2616,10 +2233,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_handles_parked_neighbour_in_another_lane() {
+    fn kernel_handles_parked_neighbour_in_another_lane() {
         // A parked (speed 0) elevated tag in a disjoint lane: both
-        // objects stay on the incremental path (no overlap in lane
-        // bands), and the parked one's columns are integrated exactly
+        // objects stay on the kernel path (no overlap in lane bands),
+        // and the parked one is folded into the build-time aggregate
         // once — pinned against the full integral over the whole run.
         let mut sc = Scenario::indoor_bench(packet("10"), 0.03, 0.25);
         let parked = {
@@ -2635,12 +2252,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_falls_back_and_resumes_on_same_lane_overlap() {
+    fn kernel_falls_back_and_resumes_on_same_lane_overlap() {
         // Two carts in the SAME lane whose extents overlap mid-run: the
-        // incremental tier must detect the occlusion hazard, serve those
-        // ticks from the staged walk, and resume its caches exactly once
-        // the objects separate. The second cart is faster, so the pass
-        // has distinct phases: apart → overlapping → apart.
+        // kernel must detect the occlusion hazard, serve those ticks
+        // from the staged walk, and resume its tables exactly once the
+        // objects separate. The second cart is faster, so the pass has
+        // distinct phases: apart → overlapping → apart.
         let mut sc = Scenario::indoor_bench(packet("10"), 0.03, 0.25);
         let chaser = {
             let tag = palc_scene::Tag::from_packet(&packet("0"), 0.04);
@@ -2652,10 +2269,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_handles_direction_reversals() {
+    fn kernel_handles_direction_reversals() {
         // A shuttling cart (triangle-wave displacement) sweeps its
-        // breakpoints back and forth across the footprint; the
-        // swept-column computation must stay exact in both directions.
+        // breakpoints back and forth across the footprint; the kernel
+        // keeps it permanently active and must stay exact in both
+        // directions.
         let tag = palc_scene::Tag::from_packet(&packet("10"), 0.03);
         let object = MobileObject::cart(tag, Trajectory::Shuttle { speed_mps: 0.12, span_m: 0.35 })
             .starting_at(-0.20);
@@ -2676,15 +2294,12 @@ mod tests {
         assert_golden(&sc, 13, "shuttle_reversal");
     }
 
-    /// Four-tier agreement on every `stride`-th tick of the scenario —
+    /// Three-tier agreement on every `stride`-th tick of the scenario —
     /// the sparse variant of [`assert_golden`] for fleet scenes whose
     /// full per-tick reference would dominate the test suite.
     fn assert_tiers_agree_sparse(sc: &Scenario, stride: usize, label: &str) {
         let ch = sc.channel();
         let field = Arc::new(ch.static_field().unwrap_or_else(|| panic!("{label}: separable")));
-        let mut delta = ch
-            .delta_field(field.clone())
-            .unwrap_or_else(|| panic!("{label}: piecewise-static scene"));
         let mut kernel = ch
             .footprint_kernel(field.clone())
             .unwrap_or_else(|| panic!("{label}: kernel-representable scene"));
@@ -2693,17 +2308,12 @@ mod tests {
         for i in (0..n).step_by(stride) {
             let t = i as f64 / fs;
             let tabled = kernel.illuminance(ch, t);
-            let incremental = delta.illuminance(ch, t);
             let staged = ch.illuminance_staged(&field, t);
             let full = ch.illuminance_at(t);
             let tol = 1e-9 * full.abs().max(1.0);
             assert!(
-                (tabled - incremental).abs() <= tol,
-                "{label}: t={t}: kernel {tabled} vs incremental {incremental}"
-            );
-            assert!(
-                (incremental - staged).abs() <= tol,
-                "{label}: t={t}: incremental {incremental} vs staged {staged}"
+                (tabled - staged).abs() <= tol,
+                "{label}: t={t}: kernel {tabled} vs staged {staged}"
             );
             assert!((staged - full).abs() <= tol, "{label}: t={t}: staged {staged} vs full {full}");
         }
@@ -2839,15 +2449,12 @@ mod tests {
         assert_eq!(sc.run(5).samples(), &posed[..]);
     }
 
-    /// Walks the run comparing all four tiers at an explicit pose.
+    /// Walks the run comparing all three tiers at an explicit pose.
     fn assert_pose_tiers_agree(sc: &Scenario, pose: ReceiverPose, label: &str) {
         let ch = sc.channel();
         let field =
             Arc::new(ch.static_field_at(pose).unwrap_or_else(|| panic!("{label}: separable")));
         assert_eq!(field.pose(), pose, "{label}: pose travels with the field");
-        let mut delta = ch
-            .delta_field(field.clone())
-            .unwrap_or_else(|| panic!("{label}: piecewise-static scene"));
         let mut kernel = ch
             .footprint_kernel(field.clone())
             .unwrap_or_else(|| panic!("{label}: kernel-representable scene"));
@@ -2857,17 +2464,12 @@ mod tests {
         for i in 0..n {
             let t = i as f64 / fs;
             let tabled = kernel.illuminance(ch, t);
-            let incremental = delta.illuminance(ch, t);
             let staged = ch.illuminance_staged(&field, t);
             let full = ch.illuminance_at_pose(pose, t);
             let tol = 1e-9 * full.abs().max(1.0);
             assert!(
-                (tabled - incremental).abs() <= tol,
-                "{label}: t={t}: kernel {tabled} vs incremental {incremental}"
-            );
-            assert!(
-                (incremental - staged).abs() <= tol,
-                "{label}: t={t}: incremental {incremental} vs staged {staged}"
+                (tabled - staged).abs() <= tol,
+                "{label}: t={t}: kernel {tabled} vs staged {staged}"
             );
             assert!((staged - full).abs() <= tol, "{label}: t={t}: staged {staged} vs full {full}");
             if full > 1.02 * field.static_total() {
@@ -2882,7 +2484,7 @@ mod tests {
         // A receiver displaced along and across the track still sees the
         // car pass (uniform overcast sky), and all three integrator
         // tiers agree at that pose — the pin for the pose threading of
-        // spans, column ranges, swept bands, and the mirror geometry.
+        // spans, column ranges, kernel tables, and the mirror geometry.
         let sc = Scenario::outdoor_car(
             CarModel::volvo_v40(),
             Some(packet("00")),

@@ -39,7 +39,11 @@
 //! * **Fusion routing**: sessions created with a [`GroupId`] have every
 //!   decoded packet forwarded as a [`Detection`] into that group's
 //!   online [`FusionStream`]; [`DecodeServer::poll_fused`] returns the
-//!   fused verdicts.
+//!   fused verdicts. A worker routes a batch's packets *before* it
+//!   publishes the session as idle or terminal, so once
+//!   [`DecodeServer::close_and_drain`] returns, [`DecodeServer::flush_group`]
+//!   sees every packet the session decoded. Routing holds no session
+//!   lock, and no path takes a session lock while holding a group lock.
 //!
 //! [`Block`]: BackpressurePolicy::Block
 //! [`ShedOldest`]: BackpressurePolicy::ShedOldest
@@ -559,7 +563,15 @@ struct Inner {
     respawns_left: AtomicUsize,
     stats: Counters,
     latency: Histogram,
+    /// Test-only pause point, run right after a worker publishes a
+    /// session as idle or terminal; see [`Inner::after_publish`].
+    #[cfg(test)]
+    publish_hook: Mutex<Option<PublishHook>>,
 }
+
+/// `(session id, packets this turn routed to a group)`.
+#[cfg(test)]
+type PublishHook = Arc<dyn Fn(u64, usize) + Send + Sync>;
 
 /// The multi-session decode server. See the [module docs](self).
 ///
@@ -643,6 +655,8 @@ impl DecodeServer {
             respawns_left: AtomicUsize::new(workers * 4),
             stats: Counters::default(),
             latency: Histogram::new(),
+            #[cfg(test)]
+            publish_hook: Mutex::new(None),
         });
         let handles = (0..workers)
             .map(|_| {
@@ -1071,16 +1085,20 @@ impl Inner {
 
         match decoded {
             Ok(events) => {
+                // Route before publishing: once `running` clears or the
+                // session turns terminal, a caller may flush the group,
+                // so this batch's packets must already be in it.
+                let mut routed = self.route_group(&session, &events);
                 let mut st = lock_recover(&session.state);
                 st.pushed += batch.len() as u64;
                 self.stats.samples_decoded.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                let packets = self.post_events(&session, &mut st, events);
+                self.post_events(&mut st, events);
                 self.resolve_feed_marks(&mut st);
                 // Re-read the status: a close may have landed mid-batch.
                 let finish = st.status.is_draining() && st.ingress.is_empty();
                 let more = !st.ingress.is_empty();
                 if finish {
-                    self.finish_session(&session, st, decoder);
+                    routed += self.finish_session(&session, st, decoder);
                 } else {
                     st.decoder = Some(decoder);
                     st.running = false;
@@ -1094,22 +1112,23 @@ impl Inner {
                         session.cv.notify_all();
                     }
                 }
-                self.route_group(&session, packets);
+                self.after_publish(session.id, routed);
             }
             Err(payload) => self.quarantine(&session, payload),
         }
     }
 
     /// Ends a draining session: runs `finish_stream` behind the fence,
-    /// posts its events plus the `Reaped`/`Closed` trailers. Takes the
-    /// locked state to keep the terminal transition atomic with the
-    /// decoder's removal.
+    /// routes its packets, then posts its events plus the
+    /// `Reaped`/`Closed` trailers. Takes the locked state to keep the
+    /// terminal transition atomic with the decoder's removal. Returns
+    /// how many packets it routed to a group.
     fn finish_session(
         &self,
         session: &Arc<Session>,
         st: MutexGuard<'_, SessionCore>,
         mut decoder: Box<dyn PushDecoder + Send>,
-    ) {
+    ) -> usize {
         let fs = session.cfg.sample_rate_hz;
         let time_s = st.pushed as f64 / fs;
         let reaped = match st.status {
@@ -1120,12 +1139,13 @@ impl Inner {
         let finished = catch_unwind(AssertUnwindSafe(|| decoder.finish_stream()));
         match finished {
             Ok(events) => {
-                let mut st = lock_recover(&session.state);
                 let timed = events
                     .into_iter()
                     .map(|event| TimedEvent { time_s, event })
                     .collect::<Vec<_>>();
-                let packets = self.post_events(session, &mut st, timed);
+                let routed = self.route_group(session, &timed);
+                let mut st = lock_recover(&session.state);
+                self.post_events(&mut st, timed);
                 self.resolve_feed_marks(&mut st);
                 if let Some(idle_s) = reaped {
                     st.outbox.push_back(SessionEvent::Reaped { idle_s });
@@ -1137,9 +1157,12 @@ impl Inner {
                 self.stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
                 drop(st);
                 session.cv.notify_all();
-                self.route_group(session, packets);
+                routed
             }
-            Err(payload) => self.quarantine(session, payload),
+            Err(payload) => {
+                self.quarantine(session, payload);
+                0
+            }
         }
     }
 
@@ -1162,26 +1185,15 @@ impl Inner {
         session.cv.notify_all();
     }
 
-    /// Appends decode events to the outbox (with stats) and returns the
-    /// packets that need fusion routing.
-    fn post_events(
-        &self,
-        session: &Arc<Session>,
-        st: &mut SessionCore,
-        events: Vec<TimedEvent>,
-    ) -> Vec<(f64, DecodedPacket)> {
-        let mut packets = Vec::new();
+    /// Appends decode events to the outbox (with stats).
+    fn post_events(&self, st: &mut SessionCore, events: Vec<TimedEvent>) {
         self.stats.events_emitted.fetch_add(events.len() as u64, Ordering::Relaxed);
         for te in events {
-            if let DecodeEvent::Packet(p) = &te.event {
+            if matches!(te.event, DecodeEvent::Packet(_)) {
                 self.stats.packets_emitted.fetch_add(1, Ordering::Relaxed);
-                if session.cfg.group.is_some() {
-                    packets.push((te.time_s, p.clone()));
-                }
             }
             st.outbox.push_back(SessionEvent::Decode(te));
         }
-        packets
     }
 
     /// Resolves feed watermarks the decode progress has passed into the
@@ -1199,28 +1211,52 @@ impl Inner {
         }
     }
 
-    /// Pushes a session's decoded packets into its fusion group.
-    fn route_group(&self, session: &Arc<Session>, packets: Vec<(f64, DecodedPacket)>) {
-        if packets.is_empty() {
-            return;
-        }
+    /// Pushes the decoded packets among `events` into the session's
+    /// fusion group and returns how many it pushed. Called with no
+    /// session lock held, before the events are published.
+    fn route_group(&self, session: &Arc<Session>, events: &[TimedEvent]) -> usize {
         let Some(GroupId(gid)) = session.cfg.group else {
-            return;
+            return 0;
         };
+        let packets: Vec<(f64, &DecodedPacket)> = events
+            .iter()
+            .filter_map(|te| match &te.event {
+                DecodeEvent::Packet(p) => Some((te.time_s, p)),
+                _ => None,
+            })
+            .collect();
+        if packets.is_empty() {
+            return 0;
+        }
         let Some(group) = lock_recover(&self.groups).get(&gid).cloned() else {
-            return;
+            return 0;
         };
         let receiver_id = session.cfg.receiver_id.unwrap_or(session.id as u32);
         let mut stream = lock_recover(&group.stream);
         let mut fused = Vec::new();
-        for (time_s, p) in &packets {
-            fused.extend(stream.push(Detection::from_packet(receiver_id, *time_s, p)));
+        for &(time_s, p) in &packets {
+            fused.extend(stream.push(Detection::from_packet(receiver_id, time_s, p)));
         }
         drop(stream);
         if !fused.is_empty() {
             lock_recover(&group.outbox).extend(fused);
         }
+        packets.len()
     }
+
+    /// Runs the test-only publish hook, if one is installed. The hook is
+    /// cloned out of its mutex first, so a hook that blocks never stalls
+    /// another worker's publish.
+    #[cfg(test)]
+    fn after_publish(&self, session: u64, routed: usize) {
+        let hook = lock_recover(&self.publish_hook).clone();
+        if let Some(hook) = hook {
+            hook(session, routed);
+        }
+    }
+
+    #[cfg(not(test))]
+    fn after_publish(&self, _session: u64, _routed: usize) {}
 }
 
 fn fs_of(session: &Arc<Session>) -> f64 {
@@ -1246,6 +1282,7 @@ mod tests {
     use crate::decode::AdaptiveDecoder;
     use crate::stream::StreamingDecoder;
     use palc_phy::Packet;
+    use std::sync::mpsc::{channel, Receiver, Sender};
 
     fn indoor() -> Scenario {
         Scenario::indoor_bench(Packet::from_bits("10").unwrap(), 0.03, 0.20)
@@ -1280,6 +1317,29 @@ mod tests {
         fn finish_stream(&mut self) -> Vec<DecodeEvent> {
             self.inner.finish_stream()
         }
+    }
+
+    /// Holds the first worker whose turn routed at least `min_routed`
+    /// packets, right after it publishes the session idle or terminal,
+    /// until the returned sender is dropped. The receiver gets one
+    /// message once a worker is held.
+    fn hold_first_publish(srv: &DecodeServer, min_routed: usize) -> (Receiver<()>, Sender<()>) {
+        let (held_tx, held_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let once = Mutex::new(Some((held_tx, release_rx)));
+        *lock_recover(&srv.inner.publish_hook) = Some(Arc::new(move |_, routed| {
+            if routed < min_routed {
+                return;
+            }
+            let Some((held, release)) = lock_recover(&once).take() else {
+                return;
+            };
+            let _ = held.send(());
+            // The timeout bounds a broken test only; dropping the sender
+            // is the wake path.
+            let _ = release.recv_timeout(Duration::from_secs(10));
+        }));
+        (held_rx, release_tx)
     }
 
     fn decode_events(events: &[SessionEvent]) -> Vec<&TimedEvent> {
@@ -1384,12 +1444,15 @@ mod tests {
                 .with_queue_capacity(32)
                 .with_policy(BackpressurePolicy::ShedOldest),
         );
-        // Hammer far past capacity in one burst; with one worker the
-        // queue cannot drain as fast as we refill it.
+        // Hammer far past capacity in one burst while the only worker is
+        // held after its first turn: nothing drains the queue, so the
+        // overload is certain rather than a race against the worker.
+        let (_held, release) = hold_first_publish(&srv, 0);
         let mut shed = 0u64;
         for _ in 0..200 {
             shed += srv.feed_samples(id, &[0.5; 32]).unwrap().shed;
         }
+        drop(release);
         assert!(shed > 0, "a 6400-sample burst through a 32-slot queue must shed");
         assert_eq!(srv.shed_samples(id).unwrap(), shed);
         let events = srv.close_and_drain(id).unwrap();
@@ -1472,6 +1535,62 @@ mod tests {
         assert_eq!(fused.len(), 1, "{fused:?}");
         assert_eq!(fused[0].payload.to_string(), "10");
         assert_eq!(fused[0].receivers, 3, "one vote per session receiver id");
+    }
+
+    /// A decoder that withholds every event until `finish_stream`, so
+    /// its packet reaches the group through the session's final turn.
+    struct DeferToFinish(StreamingDecoder, Vec<DecodeEvent>);
+
+    impl PushDecoder for DeferToFinish {
+        fn push_sample(&mut self, sample: f64) -> Option<DecodeEvent> {
+            self.1.extend(self.0.push_sample(sample));
+            self.1.extend(std::iter::from_fn(|| self.0.poll_event()));
+            None
+        }
+        fn poll_event(&mut self) -> Option<DecodeEvent> {
+            None
+        }
+        fn finish_stream(&mut self) -> Vec<DecodeEvent> {
+            let mut events = std::mem::take(&mut self.1);
+            events.extend(self.0.finish_stream());
+            events
+        }
+    }
+
+    /// Holds the worker of the first turn that routed packets right after
+    /// it publishes the session idle or terminal, and flushes the group
+    /// while it is held. Routing happens before that publish, so the
+    /// flush must already see the packet; a worker that published first
+    /// and routed afterwards would still be holding it, and the vote
+    /// would be lost. Covers both publishes: a mid-stream packet (idle
+    /// publish) and a packet emitted by `finish_stream` (terminal
+    /// publish).
+    #[test]
+    fn fusion_routing_precedes_the_idle_and_terminal_publish() {
+        let sc = indoor();
+        let trace = sc.run(11);
+        for defer in [false, true] {
+            let srv = server();
+            let (held, release) = hold_first_publish(&srv, 1);
+            let group = srv.create_group(FusionCenter { window_s: 5.0, straggler_slack_s: 0.25 });
+            let (dec, fs) = streaming(&sc);
+            let cfg = SessionConfig::new(fs).with_group(group, 0);
+            let id = if defer {
+                srv.create_session(DeferToFinish(dec, Vec::new()), cfg)
+            } else {
+                srv.create_session(dec, cfg)
+            };
+            srv.feed_samples(id, trace.samples()).unwrap();
+            let events = srv.close_and_drain(id).unwrap();
+            let held = held.recv_timeout(Duration::from_secs(10)).is_ok();
+            let fused = srv.flush_group(group).unwrap();
+            drop(release);
+            assert!(held, "defer={defer}: no turn routed a packet");
+            assert!(matches!(events.last(), Some(SessionEvent::Closed { .. })), "{events:?}");
+            assert_eq!(fused.len(), 1, "defer={defer}: packet never reached its group: {fused:?}");
+            assert_eq!(fused[0].payload.to_string(), "10");
+            assert_eq!(fused[0].receivers, 1);
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! into a push-based [`StreamingDecoder`] (one live receiver per worker,
 //! no trace ever materialised), [`Scenario::run_array_streaming`] shards
 //! one scene across an array of receiver *poses* (one worker per
-//! [`ArrayReceiver`], each owning its pose-relative static/delta fields,
+//! [`ArrayReceiver`], each owning its pose-relative static field and
+//! kernel tables,
 //! detections fused online), and [`Scenario::delivery_count`] is the
 //! shared "run a seed batch → decode → count accepted payloads" loop
 //! behind every delivery-ratio figure and test.
@@ -328,10 +329,9 @@ impl Scenario {
     /// runs in memory bounded by the decoder's history caps, which is what
     /// makes arbitrarily long runs and live deployments possible. Each
     /// worker's sampler carries its own
-    /// [`crate::channel::FootprintKernel`] geometry tables (incremental
-    /// [`crate::channel::DeltaField`] where the scene rules the kernel
-    /// out), so long passes cost transcendental-free table lookups per
-    /// tick — the per-receiver state a future multi-receiver sharding
+    /// [`crate::channel::FootprintKernel`] geometry tables (the staged
+    /// walk where the scene rules the kernel out), so long passes cost
+    /// transcendental-free table lookups per tick — the per-receiver state a future multi-receiver sharding
     /// layer will distribute.
     pub fn run_streaming(&self, seeds: &[u64], decoder: &AdaptiveDecoder) -> Vec<StreamOutcome> {
         self.run_streaming_on(&SweepRunner::new(), seeds, decoder)
@@ -390,8 +390,8 @@ impl Scenario {
     }
 
     /// One receiver shard, serially: a pose-relative sampler (its own
-    /// `StaticField` + `FootprintKernel` tables / `DeltaField` over the
-    /// shared scene objects) piped into `decoder`, packets surfaced to
+    /// `StaticField` + `FootprintKernel` tables over the shared scene
+    /// objects) piped into `decoder`, packets surfaced to
     /// `on_detection` the moment they are emitted. This is the exact
     /// loop every array worker runs.
     fn shard_events<D: PushDecoder>(
@@ -760,8 +760,8 @@ mod tests {
         use palc_phy::Packet;
         use palc_scene::{MobileObject, Tag, Trajectory};
 
-        // Regression: a parked object (a first-class scene family since
-        // the incremental integrator) plus a downstream pose used to
+        // Regression: a parked object (a first-class scene family, folded
+        // into the kernel's parked aggregate) plus a downstream pose used to
         // panic inside the trajectory's displacement search.
         let mut sc = Scenario::indoor_bench(Packet::from_bits("10").unwrap(), 0.03, 0.25);
         let parked = MobileObject::cart(

@@ -123,11 +123,6 @@ impl PowerSpectrum {
         (k.max(0.0) as usize).min(self.power.len().saturating_sub(1))
     }
 
-    /// Total power in the spectrum (excluding nothing; DC included).
-    pub fn total_power(&self) -> f64 {
-        self.power.iter().sum()
-    }
-
     /// Returns `(frequency_hz, power)` of the strongest bin at or above
     /// `min_hz`. Skipping DC and the low bins is essential in this system:
     /// the ambient noise floor concentrates all its power near 0 Hz.

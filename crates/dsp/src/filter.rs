@@ -99,11 +99,6 @@ impl SinglePoleLowPass {
         SinglePoleLowPass { alpha: dt / (rc + dt), state: None }
     }
 
-    /// The smoothing coefficient `α ∈ (0, 1]`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Processes one sample.
     pub fn step(&mut self, x: f64) -> f64 {
         let y = match self.state {

@@ -19,8 +19,6 @@
 //!   of different durations before DTW (the paper plots *normalised time*).
 //! * [`stats`] — normalisation and descriptive statistics (the paper plots
 //!   *normalised RSS*), plus SNR and modulation-depth estimators.
-//! * [`correlate`] — cross/auto-correlation and matched filtering, used by
-//!   template-based preamble search.
 //! * [`goertzel`] — single-bin DFT for cheap dominant-frequency checks on
 //!   low-end receivers.
 //!
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod complex;
-pub mod correlate;
 pub mod dtw;
 pub mod fft;
 pub mod filter;

@@ -399,7 +399,7 @@ impl LightSource for CompositeSource {
         // (`p₁(x) + e(t)·p₂(x)`), and its constant envelope 1 correctly
         // fails the equality check below at almost every `t`.
         //
-        // The check is per-call, which is sound for the staged/incremental
+        // The check is per-call, which is sound for the staged and kernel
         // consumers: they derive the spatial profile at `t = 0` and apply
         // `envelope(t)` per tick, and whenever *both* calls return `Some`
         // with members agreeing, `illuminance_at(p, t) ==

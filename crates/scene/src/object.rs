@@ -228,55 +228,10 @@ impl MobileObject {
     }
 
     /// Whether the object never moves (see [`Trajectory::is_stationary`]).
-    /// A stationary object's footprint coverage is frozen, so incremental
-    /// integrators can cache its covered patches once per scene.
+    /// A stationary object's footprint coverage is frozen, so the
+    /// channel's footprint kernel folds it into one build-time sum.
     pub fn is_stationary(&self) -> bool {
         self.trajectory.is_stationary()
-    }
-
-    /// The local coordinates (0 = leading edge, ascending, ending at
-    /// [`MobileObject::length_m`]) at which the surface reported by
-    /// [`MobileObject::sample_at`] may change, or `None` when the surface
-    /// is *not* piecewise-static in the object frame (an
-    /// [`LcdShutterTag`] switches materials over time, so no
-    /// time-invariant decomposition exists).
-    ///
-    /// Between two consecutive breakpoints the resolved `(material,
-    /// height)` pair is constant for all `t`: this is the query that lets
-    /// the channel's incremental integrator cache per-patch contributions
-    /// and re-integrate only the patches a breakpoint sweeps across.
-    pub fn profile_breakpoints(&self) -> Option<Vec<f64>> {
-        let mut cuts = vec![0.0];
-        match &self.surface {
-            Surface::Lcd(_) => return None,
-            Surface::Tag(tag) => {
-                let mut acc = 0.0;
-                for s in tag.strips() {
-                    acc += s.width_m;
-                    cuts.push(acc);
-                }
-            }
-            Surface::Car { model, roof_tag } => {
-                let mut acc = 0.0;
-                for s in model.segments() {
-                    acc += s.length_m;
-                    cuts.push(acc);
-                }
-                if let Some(tag) = roof_tag {
-                    let (a, b) = model.roof_span();
-                    let tag_start = a + ((b - a) - tag.length_m()) / 2.0;
-                    let mut acc = tag_start;
-                    cuts.push(acc);
-                    for s in tag.strips() {
-                        acc += s.width_m;
-                        cuts.push(acc);
-                    }
-                }
-            }
-        }
-        cuts.sort_unstable_by(f64::total_cmp);
-        cuts.dedup();
-        Some(cuts)
     }
 
     /// The full piecewise-static decomposition of this object's surface:
@@ -704,47 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_breakpoints_bound_constant_pieces() {
-        // Between consecutive breakpoints the resolved surface must be
-        // constant; this is the contract the incremental channel
-        // integrator caches against.
-        let objects = [
-            MobileObject::cart(tag("10", 0.03), Trajectory::indoor_bench()),
-            MobileObject::car(
-                CarModel::volvo_v40(),
-                Some(tag("00", 0.10)),
-                Trajectory::car_18kmh(),
-            ),
-            MobileObject::car(CarModel::bmw_3(), None, Trajectory::car_18kmh()),
-        ];
-        for obj in &objects {
-            let cuts = obj.profile_breakpoints().expect("piecewise-static surface");
-            assert_eq!(cuts[0], 0.0);
-            assert!((cuts.last().unwrap() - obj.length_m()).abs() < 1e-9);
-            assert!(cuts.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-            let lead = obj.leading_edge_at(0.0);
-            for w in cuts.windows(2) {
-                // Probe several interior points of the piece: all equal.
-                let probe = |frac: f64| {
-                    let local = w[0] + frac * (w[1] - w[0]);
-                    obj.sample_at(lead - local, 0.0)
-                };
-                let first = probe(0.25);
-                for frac in [0.5, 0.75] {
-                    assert_eq!(probe(frac), first, "piece {w:?} not constant");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lcd_surface_has_no_static_breakpoints() {
-        let lcd = crate::tag::LcdShutterTag::new(vec![tag("00", 0.05), tag("11", 0.05)], 0.5);
-        let obj = MobileObject::lcd_cart(lcd, Trajectory::indoor_bench());
-        assert!(obj.profile_breakpoints().is_none());
-    }
-
-    #[test]
     fn pass_delay_measures_the_origin_to_offset_segment() {
         // Constant speed: the delay is simply dx / v, wherever the
         // object starts.
@@ -810,7 +724,9 @@ mod tests {
             let lead = obj.leading_edge_at(0.0);
             let len = obj.length_m();
             let mut locals: Vec<f64> = (0..2000).map(|i| i as f64 / 1999.0 * len).collect();
-            for c in obj.profile_breakpoints().unwrap() {
+            let cuts: Vec<f64> =
+                profile.pieces().iter().flat_map(|p| [p.start_m, p.end_m]).collect();
+            for c in cuts {
                 locals.extend([c, f64::from_bits(c.to_bits().wrapping_sub(1)), {
                     let up = f64::from_bits(c.to_bits().wrapping_add(1));
                     if up.is_finite() {
@@ -847,6 +763,7 @@ mod tests {
                 Some(tag("00", 0.10)),
                 Trajectory::car_18kmh(),
             ),
+            MobileObject::car(CarModel::bmw_3(), None, Trajectory::car_18kmh()),
         ] {
             let profile = obj.surface_profile().expect("piecewise-static surface");
             let lead = obj.leading_edge_at(0.0);

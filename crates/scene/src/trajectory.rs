@@ -63,7 +63,7 @@ pub enum Trajectory {
     /// metres, then back to the start, repeating (a scanning cart, a
     /// floor polisher). The only non-monotone profile — displacement is a
     /// triangle wave — used to exercise direction reversals in the
-    /// incremental channel integrator.
+    /// channel's footprint kernel.
     Shuttle {
         /// Speed in both directions, m/s (must be positive).
         speed_mps: f64,
@@ -95,8 +95,8 @@ impl Trajectory {
 
     /// Whether this profile never moves the object at all
     /// (`Constant { speed_mps: 0 }` — a parked car, placed furniture).
-    /// Stationary objects let the incremental channel integrator cache
-    /// their covered patches once and skip the dynamic path entirely.
+    /// Stationary objects let the channel's footprint kernel sum their
+    /// covered patches once at build and skip the per-tick path entirely.
     pub fn is_stationary(&self) -> bool {
         // palc_lint: allow(float-eq) -- exact-zero speed is the stationary contract, not a tolerance check
         matches!(self, Trajectory::Constant { speed_mps } if *speed_mps == 0.0)
